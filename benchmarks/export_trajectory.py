@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Export a per-commit performance trajectory point.
 
-Runs the three step-loop workloads (saturated / low-load / idle) on both
-engines and writes ``BENCH_<sha>.json`` — one small self-describing
+Runs the three step-loop workloads (saturated / low-load / idle) and
+writes ``BENCH_<sha>.json`` — one small self-describing
 document per commit, so a directory of them IS the performance
 trajectory of the repository (plot ops/s over history, spot the commit
 that regressed the allocator, etc.).
@@ -11,12 +11,12 @@ Usage::
 
     python benchmarks/export_trajectory.py                 # ./BENCH_<sha>.json (repo root)
     python benchmarks/export_trajectory.py --out-dir /tmp  # elsewhere
-    python benchmarks/export_trajectory.py --engines fast  # subset
 
 ``ops/s`` is simulated cycles per wall-clock second (the step loop's
 natural throughput unit); each number is the median of ``--rounds``
-timed repetitions on a warmed network.  The document also records the
-fast/reference speedup per workload when both engines ran.
+timed repetitions on a warmed network.  The numbers sit under
+``engines.reference``, the key every earlier trajectory point uses, so
+old and new points stay comparable.
 """
 
 from __future__ import annotations
@@ -60,23 +60,20 @@ def git_sha() -> str:
         return "nogit"
 
 
-def _make_network(rate, engine):
+def _make_network(rate):
     topo = inject_link_faults(mesh(8, 8), 8, random.Random(1))
     traffic = (
         UniformRandomTraffic(topo, rate=rate, seed=1) if rate is not None else None
     )
-    net = Network(
-        topo, SimConfig(), make_scheme("static-bubble"), traffic, seed=1,
-        engine=engine,
-    )
+    net = Network(topo, SimConfig(), make_scheme("static-bubble"), traffic, seed=1)
     net.run(200 if rate is not None else 50)  # warm
     return net
 
 
-def measure(engine: str, rounds: int) -> dict:
+def measure(rounds: int) -> dict:
     point = {}
     for name, (rate, cycles) in WORKLOADS.items():
-        net = _make_network(rate, engine)
+        net = _make_network(rate)
         times = []
         for _ in range(rounds):
             t0 = time.perf_counter()
@@ -102,12 +99,6 @@ def main(argv=None) -> int:
         default=str(Path(__file__).resolve().parent.parent),
         help="directory for BENCH_<sha>.json (default: the repo root)",
     )
-    parser.add_argument(
-        "--engines",
-        nargs="+",
-        choices=("reference", "fast"),
-        default=["reference", "fast"],
-    )
     parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args(argv)
 
@@ -120,34 +111,16 @@ def main(argv=None) -> int:
             name: {"rate": rate, "cycles_per_round": cycles}
             for name, (rate, cycles) in WORKLOADS.items()
         },
-        "engines": {},
+        "engines": {"reference": measure(args.rounds)},
     }
-    for engine in args.engines:
-        print(f"measuring engine={engine} ...", file=sys.stderr)
-        doc["engines"][engine] = measure(engine, args.rounds)
-    if "reference" in doc["engines"] and "fast" in doc["engines"]:
-        doc["speedup"] = {
-            name: (
-                doc["engines"]["fast"][name]["ops_per_s"]
-                / doc["engines"]["reference"][name]["ops_per_s"]
-            )
-            for name in WORKLOADS
-        }
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"BENCH_{sha}.json"
     out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(out_path)
-    for engine, point in doc["engines"].items():
-        for name, row in point.items():
-            print(
-                f"  {engine:9s} {name:9s} {row['ops_per_s']:12.0f} cycles/s",
-                file=sys.stderr,
-            )
-    if "speedup" in doc:
-        for name, ratio in doc["speedup"].items():
-            print(f"  speedup   {name:9s} {ratio:6.2f}x", file=sys.stderr)
+    for name, row in doc["engines"]["reference"].items():
+        print(f"  {name:9s} {row['ops_per_s']:12.0f} cycles/s", file=sys.stderr)
     return 0
 
 

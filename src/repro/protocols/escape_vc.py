@@ -106,12 +106,6 @@ class EscapeVcRecovery(DeadlockScheme):
                 ):
                     packet.is_escape = True
                     network.stats.escape_diversions += 1
-                    # The mode flip changes which output/VC class this
-                    # buffered packet requests; engines that mirror
-                    # per-slot routing state need to refresh this router.
-                    hook = router._dirty_hook
-                    if hook is not None:
-                        hook(router.node)
 
     def extra_vcs_per_router(self, node: int, config: SimConfig) -> int:
         # One escape VC per vnet per input port (incl. local), Table I.

@@ -505,7 +505,7 @@ class ServiceServer(ServiceCore):
 def fingerprint_for(spec: SimSpec) -> str:
     """Fingerprint a spec exactly as ``POST /jobs`` would.
 
-    Execution-only fields (``engine``, ``mode``) are excluded, so
+    Execution-only fields (``mode``, the retired ``engine``) are excluded, so
     submissions that differ only in how they are answered address the
     same stored result.
     """

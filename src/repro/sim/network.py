@@ -52,41 +52,8 @@ _SPECIAL_STAT_KEY = {
 }
 
 
-#: Engines selectable at :class:`Network` construction.
-ENGINES = ("reference", "fast")
-
-
 class Network:
-    """A simulated NoC over one (possibly irregular) topology.
-
-    ``engine`` selects the cycle-loop implementation:
-
-    * ``"reference"`` (default): the object-per-VC engine in this module —
-      the semantic ground truth every other engine must match bit-for-bit.
-    * ``"fast"``: the struct-of-arrays engine in :mod:`repro.sim.fastcore`
-      (requires numpy).  ``Network(..., engine="fast")`` transparently
-      constructs a :class:`~repro.sim.fastcore.FastNetwork`.
-    """
-
-    def __new__(
-        cls,
-        topo=None,
-        config=None,
-        scheme=None,
-        traffic=None,
-        seed: int = 1,
-        engine: str = "reference",
-    ):
-        if cls is Network and engine == "fast":
-            try:
-                from repro.sim.fastcore import FastNetwork
-            except ImportError as exc:  # pragma: no cover - numpy is a dep
-                raise RuntimeError(
-                    "engine='fast' requires numpy; install it or use "
-                    "engine='reference'"
-                ) from exc
-            return super().__new__(FastNetwork)
-        return super().__new__(cls)
+    """A simulated NoC over one (possibly irregular) topology."""
 
     def __init__(
         self,
@@ -95,11 +62,7 @@ class Network:
         scheme,
         traffic=None,
         seed: int = 1,
-        engine: str = "reference",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
-        self.engine = engine
         config.validate()
         if topo.kind == "mesh" and (topo.width, topo.height) != (
             config.width,
@@ -191,10 +154,6 @@ class Network:
                 ni.eject_hook = hook
 
         scheme.setup(self)
-        self._engine_setup()
-
-    def _engine_setup(self) -> None:
-        """Engine-specific post-construction hook (mirror build in fastcore)."""
 
     # -- access --------------------------------------------------------
 
@@ -777,10 +736,6 @@ class Network:
         cycle.  ``packet.adapt_out`` is updated to the winning candidate
         — or the top preference when nothing is grantable — so probes,
         the deadlock oracle, and seal checks see a concrete outport.
-
-        Shared verbatim by both engines: the fast engine's scalar grant
-        stage calls this method too, which is what keeps adaptive outport
-        choice bit-identical across engines.
         """
         order = router.adaptive_order(port, packet, self.routers, now)
         if not order:

@@ -120,15 +120,6 @@ class Router:
         #: bubble activation/deactivation, bubble drain, and escape-VC
         #: provisioning — the only events that change VC membership.
         self._vc_cache: List[Optional[Tuple[VirtualChannel, ...]]] = [None] * num_ports
-        #: Membership-change hook installed by a fast engine: called with
-        #: this router's node id from ``invalidate_vc_cache`` so mirrored
-        #: state can be resynchronized lazily.
-        self._dirty_hook: Optional[Callable[[int], None]] = None
-        #: Structure hook, also installed by a fast engine: fired when VC
-        #: *membership or classing* changes (``add_escape_vcs`` /
-        #: ``add_static_bubble`` running post-warm), which a value-level
-        #: resync cannot absorb — the mirror must rebuild its slot layout.
-        self._structure_hook: Optional[Callable[[int], None]] = None
         #: Seal hook installed by the Static Bubble scheme: called with the
         #: node id from ``set_io_restriction`` so the scheme's sealed-router
         #: set tracks every install site (including direct calls in tests).
@@ -173,8 +164,6 @@ class Router:
         cache = self._vc_cache
         for port in range(self.num_ports):
             cache[port] = None
-        if self._dirty_hook is not None:
-            self._dirty_hook(self.node)
 
     def cached_port_vcs(self, port: int) -> Tuple[VirtualChannel, ...]:
         """``tuple(port_vcs(port))``, cached until VC membership changes."""
@@ -223,15 +212,11 @@ class Router:
                     )
         self._rebuild_class_index()
         self.invalidate_vc_cache()
-        if self._structure_hook is not None:
-            self._structure_hook(self.node)
 
     def add_static_bubble(self) -> None:
         """Attach the (initially off) static bubble buffer."""
         self.bubble = VirtualChannel(-1, -1, 0, VC_BUBBLE)
         self.invalidate_vc_cache()
-        if self._structure_hook is not None:
-            self._structure_hook(self.node)
 
     def activate_bubble(self, in_port: int) -> None:
         if self.bubble is None:

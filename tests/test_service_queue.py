@@ -91,20 +91,20 @@ class TestJobQueue:
         assert record.result == {"value": 10}
 
     def test_engine_field_excluded_from_identity(self, store, tmp_path):
-        """Specs differing only in ``engine`` coalesce onto one result:
-        the engines are bit-identical, so a fast-engine submission must
-        hit the cache entry a reference-engine run produced."""
+        """The retired ``engine`` key does not split identity: a spec
+        without it and the same spec sent by an older client with
+        ``"reference"`` or ``"fast"`` coalesce onto one result."""
         with make_queue(store, runner_ok) as queue:
-            ref, fresh1 = queue.submit(
-                {"value": 3, "engine": "reference", "log_dir": str(tmp_path)}
-            )
-            queue.wait(ref.job_id, timeout=30)
-            fast, fresh2 = queue.submit(
-                {"value": 3, "engine": "fast", "log_dir": str(tmp_path)}
-            )
-            assert fresh1 and not fresh2
-            assert fast.job_id == ref.job_id
-            assert fast.state == DONE
+            first, fresh = queue.submit({"value": 3, "log_dir": str(tmp_path)})
+            assert fresh
+            queue.wait(first.job_id, timeout=30)
+            for engine in ("reference", "fast"):
+                legacy, fresh = queue.submit(
+                    {"value": 3, "engine": engine, "log_dir": str(tmp_path)}
+                )
+                assert not fresh
+                assert legacy.job_id == first.job_id
+                assert legacy.state == DONE
 
     def test_batched_execution_matches(self, store, tmp_path):
         """A batch_size'd queue produces the same results/records."""
