@@ -83,7 +83,7 @@ def test_build_minimal_tables_8x8(benchmark):
 
 
 def test_build_minimal_tables_8x8_cached(benchmark):
-    # The warm path batched campaign workers take: same topology, memo hit.
+    # The warm path sweep cells take: same topology, memo hit.
     topo = inject_link_faults(mesh(8, 8), 8, random.Random(1))
     clear_table_cache()
     build_minimal_tables(topo)  # prime

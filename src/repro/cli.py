@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from typing import List, Optional
 
@@ -67,11 +66,8 @@ from repro.protocols import SCHEMES, make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
 from repro.sim.engine import run_with_window
-from repro.sim.network import Network
 from repro.sim.scenarios import SCENARIOS, build_scenario
-from repro.topology.faults import inject_link_faults, inject_router_faults
 from repro.topology.mesh import mesh
-from repro.traffic.synthetic import make_pattern
 from repro.utils.reporting import format_table
 
 
@@ -99,13 +95,36 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_spec_args(p: argparse.ArgumentParser) -> None:
+    """The flags ``_simulate_spec_from_args`` reads (simulate/submit/predict)."""
+    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--height", type=int, default=8)
+    p.add_argument(
+        "--topology",
+        default=None,
+        metavar="SPEC",
+        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
+        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
+    )
+    p.add_argument("--link-faults", type=int, default=0)
+    p.add_argument("--router-faults", type=int, default=0)
+    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
+    p.add_argument("--pattern", default="uniform_random")
+    p.add_argument("--rate", type=float, default=0.05)
+    p.add_argument("--warmup", type=int, default=500)
+    p.add_argument("--cycles", type=int, default=2000)
+    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
+    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
+    p.add_argument("--seed", type=int, default=1)
+
+
 def _simulate_spec_from_args(args: argparse.Namespace) -> "SimSpec":
     from repro.service.spec import SimSpec
 
     return SimSpec(
         width=args.width,
         height=args.height,
-        topology=getattr(args, "topology", None),
+        topology=args.topology,
         link_faults=args.link_faults,
         router_faults=args.router_faults,
         scheme=args.scheme,
@@ -122,31 +141,18 @@ def _simulate_spec_from_args(args: argparse.Namespace) -> "SimSpec":
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.topology:
-        from repro.topology.generators import parse_topology
+    from repro.service.spec import build_network, sim_result_payload
 
-        try:
-            topo = parse_topology(args.topology)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    else:
-        topo = mesh(args.width, args.height)
-    rng = random.Random(args.seed)
-    if args.link_faults:
-        topo = inject_link_faults(topo, args.link_faults, rng)
-    if args.router_faults:
-        topo = inject_router_faults(topo, args.router_faults, rng)
-    config = SimConfig(
-        width=args.width,
-        height=args.height,
-        vcs_per_vnet=args.vcs,
-        sb_t_dd=args.t_dd,
-    )
-    traffic = make_pattern(args.pattern, topo, args.rate, seed=args.seed)
-    scheme = make_scheme(args.scheme)
+    spec = _simulate_spec_from_args(args)
+    try:
+        spec.validate()
+        topo = spec.build_topology()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    scheme = make_scheme(spec.scheme)
     if args.verify_first:
-        cert = scheme.verify(topo, config)
+        cert = scheme.verify(topo, spec.build_config())
         if not args.json:
             print(cert.describe())
         if not cert.ok:
@@ -156,7 +162,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 1
         if not args.json:
             print()
-    network = Network(topo, config, scheme, traffic, seed=args.seed)
+    network = build_network(spec, topo, scheme)
     profiler = None
     if args.profile:
         import cProfile
@@ -165,9 +171,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         profiler.enable()
     result = run_with_window(
         network,
-        warmup=args.warmup,
-        measure=args.cycles,
-        monitor=DeadlockMonitor() if args.monitor else None,
+        warmup=spec.warmup,
+        measure=spec.measure,
+        monitor=DeadlockMonitor() if spec.monitor else None,
     )
     if profiler is not None:
         import pstats
@@ -182,9 +188,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        from repro.service.spec import sim_result_payload
-
-        payload = sim_result_payload(_simulate_spec_from_args(args), result, network)
+        payload = sim_result_payload(spec, result, network)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     rows = [
@@ -475,17 +479,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    if args.topology:
-        from repro.topology.generators import parse_topology
+    from repro.service.spec import SimSpec
 
-        try:
-            topo = parse_topology(args.topology)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        width = getattr(topo, "width", 8)
-        height = getattr(topo, "height", 8)
-    else:
+    width = height = 8
+    if not args.topology:
         try:
             width, height = (int(v) for v in args.mesh.lower().split("x"))
         except ValueError:
@@ -494,12 +491,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        topo = mesh(width, height)
-    rng = random.Random(args.seed)
-    if args.link_faults:
-        topo = inject_link_faults(topo, args.link_faults, rng)
-    if args.router_faults:
-        topo = inject_router_faults(topo, args.router_faults, rng)
+    try:
+        topo = SimSpec(
+            width=width,
+            height=height,
+            topology=args.topology,
+            link_faults=args.link_faults,
+            router_faults=args.router_faults,
+            seed=args.seed,
+        ).build_topology()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    if args.topology:
+        width = getattr(topo, "width", 8)
+        height = getattr(topo, "height", 8)
     config = SimConfig(width=width, height=height)
 
     kwargs = {}
@@ -611,16 +617,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.scenario:
         net, scheme = build_scenario(args.scenario, t_dd=args.t_dd)
     else:
-        topo = mesh(args.width, args.height)
-        rng = random.Random(args.seed)
-        if args.link_faults:
-            topo = inject_link_faults(topo, args.link_faults, rng)
-        config = SimConfig(
-            width=args.width, height=args.height, sb_t_dd=args.t_dd or 34
+        from repro.service.spec import SimSpec, build_network
+
+        spec = SimSpec(
+            width=args.width,
+            height=args.height,
+            link_faults=args.link_faults,
+            scheme=args.scheme,
+            pattern=args.pattern,
+            rate=args.rate,
+            sb_t_dd=args.t_dd or 34,
+            seed=args.seed,
         )
-        traffic = make_pattern(args.pattern, topo, args.rate, seed=args.seed)
-        scheme = make_scheme(args.scheme)
-        net = Network(topo, config, scheme, traffic, seed=args.seed)
+        net = build_network(spec, spec.build_topology())
+        scheme = net.scheme
     obs = Observer(ring_capacity=args.ring, sample_every=args.sample_every)
     net.attach_obs(obs)
     for _ in range(args.cycles):
@@ -670,25 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_schemes)
 
     p = sub.add_parser("simulate", help="run one simulation")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
-        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
-    )
-    p.add_argument("--link-faults", type=int, default=0)
-    p.add_argument("--router-faults", type=int, default=0)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
-    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
-    p.add_argument("--seed", type=int, default=1)
+    _add_spec_args(p)
     p.add_argument(
         "--monitor", action="store_true", help="run the deadlock oracle alongside"
     )
@@ -949,25 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit one simulation spec to a running campaign server",
     )
     p.add_argument("--url", default="http://127.0.0.1:8765")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
-        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
-    )
-    p.add_argument("--link-faults", type=int, default=0)
-    p.add_argument("--router-faults", type=int, default=0)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
-    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
-    p.add_argument("--seed", type=int, default=1)
+    _add_spec_args(p)
     p.add_argument(
         "--mode",
         choices=("exact", "surrogate", "auto"),
@@ -996,25 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer one spec from the local calibrated surrogate "
         "(microsecond analytical model; no server, no simulation)",
     )
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument(
-        "--topology",
-        default=None,
-        metavar="SPEC",
-        help="non-mesh topology (mesh3d:XxYxZ, torus3d:XxYxZ, "
-        "circulant:N,S1,S2, fullmesh:N); overrides --width/--height",
-    )
-    p.add_argument("--link-faults", type=int, default=0)
-    p.add_argument("--router-faults", type=int, default=0)
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="static-bubble")
-    p.add_argument("--pattern", default="uniform_random")
-    p.add_argument("--rate", type=float, default=0.05)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--cycles", type=int, default=2000)
-    p.add_argument("--vcs", type=int, default=4, help="VCs per vnet per port")
-    p.add_argument("--t-dd", type=int, default=34, help="SB detection threshold")
-    p.add_argument("--seed", type=int, default=1)
+    _add_spec_args(p)
     p.add_argument(
         "--store",
         default=None,

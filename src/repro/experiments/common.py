@@ -16,7 +16,7 @@ import os
 from statistics import mean
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.parallel import Job, run_jobs, run_jobs_batched
+from repro.parallel import Job, run_jobs
 from repro.protocols import make_scheme
 from repro.sim.config import SimConfig
 from repro.sim.deadlock import DeadlockMonitor
@@ -98,11 +98,6 @@ def run_synthetic(
 #: content-addressed result store (the CLI's ``experiment --cached``).
 CACHE_ENV_VAR = "REPRO_CACHE"
 
-#: Environment variable selecting the sweep answer lane
-#: (``exact`` | ``surrogate`` | ``auto``) for sweeps that do not pass
-#: one explicitly — the campaign-level twin of ``SimSpec.mode``.
-MODE_ENV_VAR = "REPRO_MODE"
-
 
 def cache_enabled() -> bool:
     """True when ``REPRO_CACHE`` asks sweeps to memoize through the store."""
@@ -111,24 +106,12 @@ def cache_enabled() -> bool:
     )
 
 
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """Explicit argument, else ``REPRO_MODE``, else ``"exact"``."""
-    if mode is not None:
-        return mode
-    env = os.environ.get(MODE_ENV_VAR, "").strip().lower()
-    return env if env in ("exact", "surrogate", "auto") else "exact"
-
-
 def fan_out(
     func: Callable,
     argslist: Sequence[Sequence],
     workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
     cached: Optional[bool] = None,
     store=None,
-    batch_size: Optional[int] = None,
-    mode: Optional[str] = None,
-    predictor: Optional[Callable] = None,
 ) -> List:
     """Run ``func(*args)`` for each args tuple, fanned over worker processes.
 
@@ -142,79 +125,18 @@ def fan_out(
     canonical fingerprint of ``(func, args)`` — the topology, config,
     rate, and seed are all part of ``args``, so the fingerprint is the
     cell's full identity — and only cells missing from the store are
-    executed.  ``None`` defers to the ``REPRO_CACHE`` environment
-    variable, which is how ``repro experiment --cached`` reaches all
-    nine figure sweeps through this one entry point.  Results round-trip
-    through :mod:`repro.utils.serialize`, so a cache hit is
-    indistinguishable (tuples, dataclasses and all) from a fresh run.
-
-    ``batch_size`` routes the uncached sweep through
-    :func:`repro.parallel.run_jobs_batched` — many cells per worker
-    invocation, so per-process caches (warm routing tables) amortize
-    across the batch.  Results are identical either way; progress
-    callbacks just fire per batch instead of per cell.
-
-    ``mode``/``predictor`` form the surrogate fast lane.  ``predictor``
-    is called as ``predictor(args, mode)`` for each cell and returns
-    either a result value (the cell is answered in microseconds, never
-    dispatched to a worker) or ``None`` (escalate: the cell runs
-    exactly, like any other).  ``mode`` defaults through ``REPRO_MODE``;
-    ``"exact"`` bypasses the predictor entirely.  Escalated cells keep
-    their ``argslist`` positions, so aggregation code cannot tell the
-    lanes apart.
+    executed (in-sweep duplicates run once).  ``None`` defers to the
+    ``REPRO_CACHE`` environment variable, which is how
+    ``repro experiment --cached`` reaches every figure sweep through this
+    one entry point.  Results round-trip through
+    :mod:`repro.utils.serialize`, so a cache hit is indistinguishable
+    (tuples, dataclasses and all) from a fresh run.
     """
     if cached is None:
         cached = cache_enabled()
-    mode = resolve_mode(mode)
-    if predictor is not None and mode in ("surrogate", "auto"):
-        total = len(argslist)
-        results: List = [None] * total
-        escalate: List[int] = []
-        for i, args in enumerate(argslist):
-            value = predictor(tuple(args), mode)
-            if value is None:
-                escalate.append(i)
-            else:
-                results[i] = value
-        if progress is not None and total - len(escalate):
-            progress(total - len(escalate), total)
-        if escalate:
-            answered = total - len(escalate)
-
-            def _lane_progress(done: int, _sub_total: int) -> None:
-                if progress is not None:
-                    progress(answered + done, total)
-
-            exact = fan_out(
-                func,
-                [argslist[i] for i in escalate],
-                workers=workers,
-                progress=_lane_progress,
-                cached=cached,
-                store=store,
-                batch_size=batch_size,
-                mode="exact",
-            )
-            for i, value in zip(escalate, exact):
-                results[i] = value
-        return results
     if not cached:
-        jobs = [Job(func, tuple(args)) for args in argslist]
-        if batch_size is not None:
-            return run_jobs_batched(
-                jobs, workers=workers, progress=progress, batch_size=batch_size
-            )
-        return run_jobs(jobs, workers=workers, progress=progress)
-    return _fan_out_cached(func, argslist, workers, progress, store)
+        return run_jobs([Job(func, tuple(args)) for args in argslist], workers=workers)
 
-
-def _fan_out_cached(
-    func: Callable,
-    argslist: Sequence[Sequence],
-    workers: Optional[int],
-    progress: Optional[Callable[[int, int], None]],
-    store,
-) -> List:
     from repro.service.store import ResultStore, spec_fingerprint
     from repro.utils.serialize import from_jsonable, to_jsonable
 
@@ -224,36 +146,22 @@ def _fan_out_cached(
         getattr(func, "__module__", "?"),
         getattr(func, "__qualname__", repr(func)),
     )
-    total = len(argslist)
-    results: List = [None] * total
-    have: List[bool] = [False] * total
+    results: List = [None] * len(argslist)
     #: fingerprint -> indices sharing it (in-sweep duplicates run once).
     misses: dict = {}
-    fps: List[str] = []
     for i, args in enumerate(argslist):
         fp = spec_fingerprint(("fan_out", func_id, tuple(args)))
-        fps.append(fp)
         if fp in misses:
             misses[fp].append(i)
             continue
         blob = store.get(fp)
         if blob is not None:
             results[i] = from_jsonable(blob["result"])
-            have[i] = True
         else:
             misses[fp] = [i]
-    done_so_far = sum(have)
-    if progress is not None and done_so_far:
-        progress(done_so_far, total)
-    order = [(fp, idxs) for fp, idxs in misses.items()]
-    jobs = [Job(func, tuple(argslist[idxs[0]])) for _, idxs in order]
-
-    def _sub_progress(done: int, _sub_total: int) -> None:
-        if progress is not None:
-            progress(done_so_far + done, total)
-
-    fresh = run_jobs(jobs, workers=workers, progress=_sub_progress)
-    for (fp, idxs), value in zip(order, fresh):
+    jobs = [Job(func, tuple(argslist[idxs[0]])) for idxs in misses.values()]
+    fresh = run_jobs(jobs, workers=workers)
+    for (fp, idxs), value in zip(misses.items(), fresh):
         store.put(fp, {"result": to_jsonable(value)})
         for i in idxs:
             results[i] = value

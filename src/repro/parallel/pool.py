@@ -8,10 +8,11 @@ This module is the one place that owns that machinery:
 
 * :class:`Job` — a picklable ``(func, args, kwargs)`` work unit;
 * :func:`run_jobs` — execute a job list over ``workers`` processes,
-  preserving submission order, with chunked dispatch, an optional
-  per-completion progress callback, and a graceful serial fallback
-  (``workers=1``, unpicklable jobs, or pools being unavailable in the
-  host environment);
+  preserving submission order, with chunked dispatch and a graceful
+  serial fallback (``workers=1``, unpicklable jobs, or pools being
+  unavailable in the host environment).  It is the only pool
+  dispatcher: figure sweeps (``fan_out``), the service queue, campaigns
+  and fabric workers all hand it their job lists;
 * :func:`resolve_workers` — the worker-count policy: explicit argument,
   else the ``REPRO_WORKERS`` environment variable, else
   ``os.cpu_count() - 1`` (always at least 1);
@@ -142,17 +143,6 @@ def call_with_timeout(
     return value
 
 
-def _call_batch(batch: Tuple[Job, ...]) -> List[Any]:
-    """Run a whole batch of jobs inside one worker invocation.
-
-    Cells run sequentially in submission order, sharing the worker's
-    process state — warm per-process caches (e.g. the routing-table memo
-    in :mod:`repro.routing.table`) amortize across every cell of the
-    batch instead of being rebuilt per dispatch.
-    """
-    return [job.run() for job in batch]
-
-
 def _call_job_obs(job: Job) -> Tuple[Any, Dict[str, Any]]:
     """Trampoline used when ``REPRO_OBS`` is on: ship the worker's
     per-process metrics snapshot home alongside the result, so the parent
@@ -202,14 +192,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, workers)
 
 
-def _run_serial(jobs: Sequence[Job], progress) -> List[Any]:
-    results = []
-    total = len(jobs)
-    for i, job in enumerate(jobs):
-        results.append(job.run())
-        if progress is not None:
-            progress(i + 1, total)
-    return results
+def _run_serial(jobs: Sequence[Job]) -> List[Any]:
+    return [job.run() for job in jobs]
 
 
 def _picklable(jobs: Sequence[Job]) -> bool:
@@ -227,22 +211,15 @@ def _pool_context():
 
 
 def run_jobs(
-    jobs: Iterable[Job],
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    chunksize: Optional[int] = None,
+    jobs: Iterable[Job], workers: Optional[int] = None
 ) -> List[Any]:
     """Run every job; return their results in submission order.
 
-    * ``workers``: process count; ``None`` defers to
-      :func:`resolve_workers` (``REPRO_WORKERS`` / ``cpu_count - 1``).
-      ``workers=1`` runs serially in-process with no pool at all.
-    * ``progress``: called as ``progress(done, total)`` after each job
-      completes (in completion order under a pool, which equals
-      submission order because results stream through ``imap``).
-    * ``chunksize``: jobs dispatched per worker task; defaults to
-      ``len(jobs) // (workers * 4)`` (at least 1) so long sweeps
-      amortize IPC while short ones still load-balance.
+    ``workers`` is the process count; ``None`` defers to
+    :func:`resolve_workers` (``REPRO_WORKERS`` / ``cpu_count - 1``), and
+    ``workers=1`` runs serially in-process with no pool at all.  Jobs are
+    dispatched in chunks of ``len(jobs) // (workers * 4)`` (at least 1),
+    so long sweeps amortize IPC while short ones still load-balance.
 
     Serial fallbacks (all produce identical results): a single job,
     ``workers=1``, unpicklable jobs, or a host that cannot create a
@@ -254,83 +231,18 @@ def run_jobs(
         return []
     n = min(resolve_workers(workers), total)
     if n <= 1 or not _picklable(jobs):
-        return _run_serial(jobs, progress)
-    if chunksize is None:
-        chunksize = max(1, total // (n * 4))
+        return _run_serial(jobs)
     try:
         pool = _pool_context().Pool(processes=n)
     except (OSError, PermissionError, ImportError):
-        return _run_serial(jobs, progress)
+        return _run_serial(jobs)
     merge_obs = obs_enabled()
     call = _call_job_obs if merge_obs else _call_job
     with pool:
         results: List[Any] = []
-        for i, result in enumerate(pool.imap(call, jobs, chunksize)):
+        for result in pool.imap(call, jobs, max(1, total // (n * 4))):
             if merge_obs:
                 result, snapshot = result
                 proc_registry().merge_dict(snapshot)
             results.append(result)
-            if progress is not None:
-                progress(i + 1, total)
     return results
-
-
-def run_jobs_batched(
-    jobs: Iterable[Job],
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    batch_size: Optional[int] = None,
-) -> List[Any]:
-    """Like :func:`run_jobs`, but cells are packed into batch jobs.
-
-    Many sweep cells are cheap relative to dispatch: each ``run_jobs``
-    result crosses the pool boundary individually, and per-cell process
-    state (warm caches, imports) is wasted when chunks migrate.  Here the
-    job list is split into contiguous batches of ``batch_size`` cells,
-    each batch executes as *one* worker invocation
-    (:func:`_call_batch`), and the flattened results come back in
-    submission order — bit-identical to ``run_jobs`` on the same list,
-    since cells are pure functions of their arguments.
-
-    * ``batch_size``: cells per worker invocation; ``None`` packs the
-      list into ``workers * 4`` batches (at least 1 cell each), the same
-      load-balance point ``run_jobs`` uses for its chunksize.
-    * ``progress``: called with *cell* counts, but only as each batch
-      completes — coarser updates are the cost of batching.
-    * Failure granularity: a raising cell aborts its whole batch (the
-      :class:`JobError` still names the offending cell).  Callers that
-      need per-cell outcomes wrap their runner to return statuses, as
-      the service queue does.
-
-    Serial fallback: with one effective worker the batching layer is
-    skipped entirely and cells run like ``run_jobs(workers=1)``.
-    """
-    jobs = list(jobs)
-    total = len(jobs)
-    if total == 0:
-        return []
-    n = min(resolve_workers(workers), total)
-    if n <= 1:
-        return _run_serial(jobs, progress)
-    if batch_size is None:
-        batch_size = max(1, -(-total // (n * 4)))
-    else:
-        batch_size = max(1, batch_size)
-    batches = [
-        tuple(jobs[i : i + batch_size]) for i in range(0, total, batch_size)
-    ]
-    done_after = []
-    done = 0
-    for batch in batches:
-        done += len(batch)
-        done_after.append(done)
-
-    def _batch_progress(batches_done: int, _batches_total: int) -> None:
-        if progress is not None:
-            progress(done_after[batches_done - 1], total)
-
-    batch_jobs = [Job(_call_batch, (batch,)) for batch in batches]
-    nested = run_jobs(
-        batch_jobs, workers=n, progress=_batch_progress, chunksize=1
-    )
-    return [result for batch in nested for result in batch]

@@ -17,7 +17,6 @@ Builders:
 from __future__ import annotations
 
 import json
-import os
 import random
 from collections import OrderedDict
 from typing import Dict, List, Optional
@@ -60,23 +59,13 @@ class RoutingTable:
         return options[rng.randrange(len(options))]
 
 
-#: Set ``REPRO_TABLE_CACHE=0`` to disable table memoization (debugging,
-#: or workloads that mutate tables in place — none in this tree do).
-TABLE_CACHE_ENV_VAR = "REPRO_TABLE_CACHE"
-
-#: Per-process memo: canonical topology spec -> built tables.  Batched
-#: campaign workers run many cells that differ only in rate/seed on the
-#: same sampled topology; table construction (hundreds of ms at 8x8) is
-#: a pure function of the topology, so one build serves the whole batch.
+#: Per-process memo: canonical topology spec -> built tables.  Sweeps
+#: run many cells that differ only in scheme, rate or seed on the same
+#: sampled topology; table construction (hundreds of ms at 8x8) is a
+#: pure function of the topology, so one build serves them all.
 #: Bounded LRU so a long-lived campaign worker cannot grow unboundedly.
 _TABLE_CACHE_MAX = 64
 _table_cache: "OrderedDict[tuple, Dict[int, RoutingTable]]" = OrderedDict()
-
-
-def table_cache_enabled() -> bool:
-    return os.environ.get(TABLE_CACHE_ENV_VAR, "").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 def clear_table_cache() -> None:
@@ -114,15 +103,12 @@ def build_minimal_tables(
     Per-destination BFS keeps this at ``O(nodes * edges)`` plus path
     enumeration; adequate up to the 16x16 meshes used here.  Results are
     memoized per process on the canonical topology spec (tables are pure
-    functions of the topology and read-only after construction); disable
-    with ``REPRO_TABLE_CACHE=0``.
+    functions of the topology and read-only after construction).
     """
-    caching = table_cache_enabled()
-    if caching:
-        key = _cache_key("minimal", topo, max_paths)
-        cached = _cache_get(key)
-        if cached is not None:
-            return cached
+    key = _cache_key("minimal", topo, max_paths)
+    cached = _cache_get(key)
+    if cached is not None:
+        return cached
     tables = {node: RoutingTable(node) for node in topo.active_nodes()}
     for dst in topo.active_nodes():
         dist = bfs_distances(topo, dst)
@@ -131,8 +117,7 @@ def build_minimal_tables(
                 continue
             for route in minimal_routes(topo, src, dst, max_paths, dist):
                 tables[src].add_route(dst, route)
-    if caching:
-        _cache_put(key, tables)
+    _cache_put(key, tables)
     return tables
 
 
@@ -145,7 +130,7 @@ def build_updown_tables(
     tree derivation — caller-supplied ``trees`` bypass the cache (their
     identity is not part of the topology spec).
     """
-    caching = trees is None and table_cache_enabled()
+    caching = trees is None
     if caching:
         key = _cache_key("updown", topo, None)
         cached = _cache_get(key)

@@ -5,9 +5,8 @@ front end for leased jobs (``GET /jobs/claim``), executes them through
 exactly the same path local execution uses
 (:func:`repro.service.queue._guarded_run` over
 :func:`repro.service.spec.run_sim_spec`, fanned through
-:func:`repro.parallel.run_jobs_batched` when the claim batch is large
-enough to amortize warm caches), and reports each outcome
-(``POST /jobs/<id>/complete``).
+:func:`repro.parallel.run_jobs` over ``exec_workers`` processes), and
+reports each outcome (``POST /jobs/<id>/complete``).
 
 Delivery semantics — at-least-once, exactly-one-result:
 
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, proc_registry
-from repro.parallel import Job, run_jobs_batched
+from repro.parallel import Job, run_jobs
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import _guarded_run
 from repro.service.spec import run_sim_spec
@@ -177,7 +176,7 @@ class FabricWorker:
         )
         heartbeat.start()
         try:
-            outcomes = run_jobs_batched(
+            outcomes = run_jobs(
                 [
                     Job(_guarded_run, (run_sim_spec, job["spec"], timeout))
                     for job in jobs

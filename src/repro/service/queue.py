@@ -20,10 +20,9 @@ raw pool lacks:
   retried with exponential backoff before being marked FAILED.
   Timed-out executions increment ``service.queue.timeout``.
 
-A scheduler thread drains the ready set in batches through
-``run_jobs_batched`` — many cells per worker invocation, so per-process
-caches (warm routing tables) amortize across a batch; worker-process
-fan-out, ordering, and obs merging stay in one place
+A scheduler thread drains the ready set in batches of at most
+``workers`` records through :func:`repro.parallel.run_jobs`, so
+worker-process fan-out, ordering, and obs merging stay in one place
 (:mod:`repro.parallel.pool`).
 
 **Remote workers** (the distributed fabric, :mod:`repro.service.fabric`)
@@ -65,7 +64,7 @@ from repro.parallel import (
     Job,
     call_with_timeout,
     resolve_workers,
-    run_jobs_batched,
+    run_jobs,
 )
 from repro.service.spec import run_sim_spec, spec_identity
 from repro.service.store import ResultStore, spec_fingerprint
@@ -175,7 +174,6 @@ class JobQueue:
         retries: int = 1,
         backoff: float = 0.25,
         registry: Optional[MetricsRegistry] = None,
-        batch_size: Optional[int] = None,
         record_ttl: Optional[float] = None,
         on_executed: Optional[
             Callable[[Dict[str, Any], Dict[str, Any]], None]
@@ -186,7 +184,6 @@ class JobQueue:
         self.runner = runner
         self.store = store if store is not None else ResultStore()
         self.workers = resolve_workers(workers)
-        self.batch_size = batch_size
         self.max_depth = max_depth
         self.timeout = timeout
         self.retries = retries
@@ -571,9 +568,7 @@ class JobQueue:
                 Job(_guarded_run, (self.runner, record.spec, self.timeout))
                 for record in batch
             ]
-            outcomes = run_jobs_batched(
-                jobs, workers=self.workers, batch_size=self.batch_size
-            )
+            outcomes = run_jobs(jobs, workers=self.workers)
             executed: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
             with self._lock:
                 for record, (status, value) in zip(batch, outcomes):
@@ -639,18 +634,13 @@ def run_campaign(
     workers: Optional[int] = None,
     manifest_path: Optional[os.PathLike] = None,
     name: str = "campaign",
-    progress: Optional[Callable[[int, int], None]] = None,
-    batch_size: Optional[int] = None,
 ) -> CampaignReport:
     """Run a spec list through the store, executing only what's missing.
 
     Identical specs within the list coalesce to one execution (specs
     differing only in execution-only fields, e.g. ``mode``, coalesce
-    too).  ``batch_size`` packs that many cells into each worker
-    invocation (:func:`repro.parallel.run_jobs_batched`), amortizing
-    per-process caches such as routing tables across a batch.  Results
-    are persisted wave-by-wave (a wave is ``2 x workers x batch`` cells),
-    and the
+    too).  Results are persisted wave-by-wave (a wave is ``2 x workers``
+    cells, dispatched through :func:`repro.parallel.run_jobs`), and the
     manifest — the full cell list plus which fingerprints are done — is
     rewritten atomically after every wave, so a killed campaign resumes
     with only its missing cells.
@@ -687,8 +677,6 @@ def run_campaign(
             results[i] = payload
             hits += 1
             done_fps.append(fp)
-            if progress is not None:
-                progress(sum(1 for r in results if r is not None), len(specs))
         else:
             missing[fp] = [i]
     manifest["done"] = sorted(set(done_fps))
@@ -698,13 +686,11 @@ def run_campaign(
     executed = 0
     failed = 0
     order = list(missing.items())
-    wave_size = max(1, n_workers * 2 * (batch_size or 1))
+    wave_size = n_workers * 2
     for start in range(0, len(order), wave_size):
         wave = order[start : start + wave_size]
         jobs = [Job(_guarded_run, (runner, specs[idxs[0]], None)) for _, idxs in wave]
-        outcomes = run_jobs_batched(
-            jobs, workers=n_workers, batch_size=batch_size
-        )
+        outcomes = run_jobs(jobs, workers=n_workers)
         for (fp, idxs), (status, value) in zip(wave, outcomes):
             if status == "ok":
                 store.put(fp, value)
@@ -715,8 +701,6 @@ def run_campaign(
             else:
                 failed += 1
                 store.registry.counter("service.campaign.failed").inc()
-            if progress is not None:
-                progress(sum(1 for r in results if r is not None), len(specs))
         manifest["done"] = sorted(set(done_fps))
         if path is not None:
             _write_manifest(path, manifest)

@@ -27,6 +27,7 @@ from repro.sim.engine import WindowResult, run_with_window
 from repro.sim.network import Network
 from repro.topology.faults import inject_link_faults, inject_router_faults
 from repro.topology.mesh import Topology, mesh
+from repro.traffic.synthetic import PATTERNS, make_pattern
 
 #: Bump when a simulator change invalidates previously stored results.
 #: Folded (with the package version) into every fingerprint salt.
@@ -83,8 +84,14 @@ class SimSpec:
             raise ValueError(
                 f"unknown mode {self.mode!r}; have ('exact', 'surrogate', 'auto')"
             )
-        if self.width < 1 or self.height < 1:
-            raise ValueError("mesh dimensions must be positive")
+        if self.pattern not in PATTERNS:
+            raise ValueError(
+                f"unknown pattern {self.pattern!r}; have {sorted(PATTERNS)}"
+            )
+        # Mesh dimensions, vnets, VCs per vnet and t_DD.
+        self.build_config().validate()
+        if self.link_faults < 0 or self.router_faults < 0:
+            raise ValueError("fault counts must be >= 0")
         if self.topology is not None:
             from repro.topology.generators import parse_topology
 
@@ -188,23 +195,27 @@ def sim_result_payload(
     }
 
 
+def build_network(spec: SimSpec, topo: Topology, scheme=None) -> Network:
+    """The network ``spec`` simulates on ``topo`` (from ``build_topology``).
+
+    Shared by :func:`run_sim_spec` and the ``simulate``/``trace`` CLI
+    commands, so every surface builds a spec's network one way.
+    ``scheme`` installs an instance the caller already holds (``simulate
+    --verify-first`` certifies it before the build); by default a fresh
+    ``spec.scheme`` instance is made.
+    """
+    traffic = make_pattern(
+        spec.pattern, topo, spec.rate, seed=spec.seed, vnets=spec.vnets
+    )
+    if scheme is None:
+        scheme = make_scheme(spec.scheme)
+    return Network(topo, spec.build_config(), scheme, traffic, seed=spec.seed)
+
+
 def run_sim_spec(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one spec; module-level so it pickles to pool workers."""
     spec = SimSpec.from_dict(dict(spec_dict))
-    topo = spec.build_topology()
-    traffic_kwargs = {"vnets": spec.vnets}
-    from repro.traffic.synthetic import make_pattern
-
-    traffic = make_pattern(
-        spec.pattern, topo, spec.rate, seed=spec.seed, **traffic_kwargs
-    )
-    network = Network(
-        topo,
-        spec.build_config(),
-        make_scheme(spec.scheme),
-        traffic,
-        seed=spec.seed,
-    )
+    network = build_network(spec, spec.build_topology())
     result = run_with_window(
         network,
         warmup=spec.warmup,

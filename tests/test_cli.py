@@ -118,3 +118,107 @@ class TestExperiment:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestSpecConsolidation:
+    """Every CLI simulation derives from ``SimSpec``: the topology, the
+    network and the payload equal what the service path builds for the
+    same flags."""
+
+    @pytest.mark.parametrize(
+        "flags, spec_kwargs",
+        [
+            (
+                ["--width", "5", "--height", "5", "--link-faults", "3",
+                 "--router-faults", "1", "--rate", "0.1", "--seed", "4",
+                 "--monitor"],
+                dict(width=5, height=5, link_faults=3, router_faults=1,
+                     rate=0.1, seed=4, monitor=True),
+            ),
+            (
+                ["--topology", "circulant:11,2,5", "--scheme", "adaptive",
+                 "--rate", "0.08", "--seed", "2"],
+                dict(topology="circulant:11,2,5", scheme="adaptive",
+                     rate=0.08, seed=2),
+            ),
+        ],
+    )
+    def test_simulate_json_equals_run_sim_spec(self, capsys, flags, spec_kwargs):
+        import json
+
+        from repro.service.spec import SimSpec, run_sim_spec
+
+        window = ["--warmup", "60", "--cycles", "150", "--json"]
+        assert main(["simulate", *flags, *window]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec = SimSpec(**spec_kwargs, warmup=60, measure=150)
+        assert payload == run_sim_spec(spec.to_dict())
+
+    @pytest.mark.parametrize(
+        "flags, spec_kwargs",
+        [
+            (["--mesh", "6x5", "--link-faults", "4", "--router-faults", "2",
+              "--seed", "9"],
+             dict(width=6, height=5, link_faults=4, router_faults=2, seed=9)),
+            (["--topology", "fullmesh:6", "--link-faults", "1", "--seed", "3"],
+             dict(topology="fullmesh:6", link_faults=1, seed=3)),
+        ],
+    )
+    def test_verify_topology_equals_spec(self, capsys, monkeypatch, flags, spec_kwargs):
+        from repro.protocols import make_scheme
+        from repro.service.spec import SimSpec
+
+        seen = []
+        cls = type(make_scheme("static-bubble"))
+        real_verify = cls.verify
+
+        def recording_verify(self, topo, config):
+            seen.append(topo.to_spec())
+            return real_verify(self, topo, config)
+
+        monkeypatch.setattr(cls, "verify", recording_verify)
+        main(["verify", *flags])
+        capsys.readouterr()
+        assert seen == [SimSpec(**spec_kwargs).build_topology().to_spec()]
+
+    def test_trace_topology_equals_spec(self, capsys, monkeypatch):
+        from repro.service.spec import SimSpec
+        from repro.sim.network import Network
+
+        seen = []
+        real_attach = Network.attach_obs
+
+        def recording_attach(self, obs):
+            seen.append(self.topo.to_spec())
+            return real_attach(self, obs)
+
+        monkeypatch.setattr(Network, "attach_obs", recording_attach)
+        flags = ["--width", "5", "--height", "4", "--link-faults", "3",
+                 "--seed", "6", "--cycles", "20"]
+        assert main(["trace", *flags]) == 0
+        capsys.readouterr()
+        spec = SimSpec(width=5, height=4, link_faults=3, seed=6)
+        assert seen == [spec.build_topology().to_spec()]
+
+    def test_spec_commands_share_flags(self):
+        import argparse
+
+        parser = build_parser()
+        sub = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+
+        def spec_flags(command):
+            return {
+                (action.dest, repr(action.default))
+                for action in sub.choices[command]._actions
+                if action.dest in (
+                    "width", "height", "topology", "link_faults",
+                    "router_faults", "scheme", "pattern", "rate", "warmup",
+                    "cycles", "vcs", "t_dd", "seed",
+                )
+            }
+
+        assert len(spec_flags("simulate")) == 13
+        assert spec_flags("simulate") == spec_flags("submit") == spec_flags("predict")

@@ -2,8 +2,7 @@
 
 Two families:
 
-* pool semantics — ordering, worker resolution, progress callbacks,
-  serial fallbacks, and (the load-bearing property) bit-identical
+* pool semantics — ordering, worker resolution, serial fallbacks, and (the load-bearing property) bit-identical
   results between serial and multi-process runs of the same job list;
 * hot-path equivalence — the active-router set and VC caches must leave
   simulation outcomes exactly unchanged versus the full per-cycle scan.
@@ -25,7 +24,6 @@ from repro.parallel import (
     job_seed,
     resolve_workers,
     run_jobs,
-    run_jobs_batched,
 )
 from repro.protocols import MinimalUnprotected, StaticBubbleScheme
 from repro.sim.config import SimConfig
@@ -75,24 +73,6 @@ class TestRunJobs:
     def test_kwargs(self):
         assert run_jobs([Job(pow, (2,), {"exp": 10})], workers=1) == [1024]
 
-    def test_progress_callback_serial(self):
-        seen = []
-        run_jobs(
-            [Job(_square, (i,)) for i in range(5)],
-            workers=1,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(i, 5) for i in range(1, 6)]
-
-    def test_progress_callback_parallel(self):
-        seen = []
-        run_jobs(
-            [Job(_square, (i,)) for i in range(8)],
-            workers=2,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(i, 8) for i in range(1, 9)]
-
     def test_unpicklable_jobs_fall_back_to_serial(self):
         # Lambdas cannot cross a process boundary; results must still come
         # back correct (and in order) via the in-process fallback.
@@ -109,53 +89,6 @@ class TestRunJobs:
         assert pooled == direct
         assert pooled2 == direct
         assert extra != direct  # different rate/seed really ran
-
-
-class TestRunJobsBatched:
-    def test_matches_run_jobs(self):
-        jobs = [Job(_square, (i,)) for i in range(23)]
-        assert run_jobs_batched(jobs, workers=4) == run_jobs(jobs, workers=4)
-
-    def test_explicit_batch_size(self):
-        jobs = [Job(_square, (i,)) for i in range(10)]
-        assert run_jobs_batched(jobs, workers=3, batch_size=4) == [
-            i * i for i in range(10)
-        ]
-
-    def test_serial_fallback(self):
-        jobs = [Job(_square, (i,)) for i in range(6)]
-        assert run_jobs_batched(jobs, workers=1) == [i * i for i in range(6)]
-
-    def test_empty(self):
-        assert run_jobs_batched([], workers=4) == []
-
-    def test_progress_counts_cells_not_batches(self):
-        seen = []
-        run_jobs_batched(
-            [Job(_square, (i,)) for i in range(10)],
-            workers=2,
-            batch_size=4,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        # Three batches of 4/4/2 cells; cumulative cell counts, total=10.
-        assert seen == [(4, 10), (8, 10), (10, 10)]
-
-    def test_failing_cell_names_itself(self):
-        jobs = [Job(_square, (1,)), Job(_explode, (9,)), Job(_square, (2,))]
-        with pytest.raises(JobError) as exc_info:
-            run_jobs_batched(jobs, workers=2, batch_size=3)
-        assert "_explode" in str(exc_info.value)
-        assert "9" in str(exc_info.value)
-
-    def test_simulation_cells_identical_to_unbatched(self):
-        jobs = [
-            Job(_simulate_point, (0.05, 7)),
-            Job(_simulate_point, (0.10, 8)),
-            Job(_simulate_point, (0.05, 9)),
-        ]
-        assert run_jobs_batched(jobs, workers=2, batch_size=2) == run_jobs(
-            jobs, workers=1
-        )
 
 
 def _explode(x: int, *, why: str = "bad input") -> int:

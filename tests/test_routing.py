@@ -20,7 +20,6 @@ from repro.routing.table import (
     build_minimal_tables,
     build_updown_tables,
     clear_table_cache,
-    table_cache_enabled,
 )
 from repro.routing.xy import xy_route, xy_route_is_usable
 from repro.topology.faults import inject_link_faults
@@ -174,15 +173,6 @@ class TestTableCache:
         assert len(before[0].routes(1)) != len(after[0].routes(1)) or (
             before[0].routes(1)[0] is not after[0].routes(1)[0]
         )
-
-    def test_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TABLE_CACHE", "0")
-        assert not table_cache_enabled()
-        clear_table_cache()
-        topo = mesh(3, 3)
-        first = build_minimal_tables(topo)
-        second = build_minimal_tables(topo)
-        assert first[0].routes(1)[0] is not second[0].routes(1)[0]
 
     def test_updown_custom_trees_bypass_cache(self):
         clear_table_cache()

@@ -107,8 +107,9 @@ class TestJobQueue:
                 assert legacy.state == DONE
 
     def test_batched_execution_matches(self, store, tmp_path):
-        """A batch_size'd queue produces the same results/records."""
-        with make_queue(store, runner_ok, batch_size=4) as queue:
+        """Ready records drain in batches of ``workers`` through the pool;
+        every record still gets its own result."""
+        with make_queue(store, runner_ok, workers=4) as queue:
             records = [
                 queue.submit({"value": v, "log_dir": str(tmp_path)})[0]
                 for v in range(8)
@@ -276,17 +277,6 @@ class TestCampaign:
         assert report.failed == 1
         assert report.results == [None]
 
-    def test_progress_callback(self, store):
-        seen = []
-        run_campaign(
-            [{"value": i} for i in range(3)],
-            store=store,
-            runner=runner_ok,
-            workers=1,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen[-1] == (3, 3)
-
 
 # -- fan_out cache --------------------------------------------------------
 
@@ -329,6 +319,28 @@ class TestFanOutCached:
         assert not cache_enabled()
         monkeypatch.setenv(CACHE_ENV_VAR, "1")
         assert cache_enabled()
+
+
+class TestFanOutCellKey:
+    #: Store key of one fig8 cell under ``fan_out(cached=True)``.  Every
+    #: stored ``experiment --cached`` result is addressed this way, so a
+    #: change to the key silently orphans them all.
+    PINNED = "08beabd1edd987dd4f4102b5d0d66c2b49507d7b1b133514869318c9133c43dd"
+
+    def test_cell_fingerprint_pinned(self, store):
+        import random
+
+        from repro.experiments.fig8_latency import _measure_latency
+        from repro.sim.config import SimConfig
+        from repro.topology.faults import inject_link_faults
+        from repro.topology.mesh import mesh
+
+        topo = inject_link_faults(mesh(4, 4), 2, random.Random(3))
+        args = (topo, "static-bubble", "uniform_random", 0.02,
+                SimConfig(width=4, height=4), 100, 200, 1)
+        (value,) = fan_out(_measure_latency, [args], workers=1, cached=True, store=store)
+        assert value == (10.5, 28)
+        assert list(store.iter_fingerprints()) == [self.PINNED]
 
 
 class TestRecordTtl:

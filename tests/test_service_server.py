@@ -18,6 +18,17 @@ from repro.service.store import ResultStore
 
 TINY = dict(width=3, height=3, rate=0.03, warmup=30, measure=80, seed=5)
 
+#: One field per spec that can never run; each must be refused on submit
+#: rather than accepted and failed later in ``run_sim_spec``.
+UNRUNNABLE = [
+    {"pattern": "bogus"},
+    {"link_faults": -3},
+    {"router_faults": -1},
+    {"vnets": 0},
+    {"vcs_per_vnet": 0},
+    {"sb_t_dd": 0},
+]
+
 
 def slow_runner(spec):
     time.sleep(0.6)
@@ -83,6 +94,12 @@ class TestEndpoints:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("bad", UNRUNNABLE, ids=lambda bad: next(iter(bad)))
+    def test_unrunnable_spec_400(self, client, bad):
+        status, payload, _ = client._request("POST", "/jobs", {**TINY, **bad})
+        assert status == 400
+        assert payload["error"]
+
     def test_unknown_endpoint_404(self, client):
         status, _, _ = client._request("GET", "/nope")
         assert status == 404
@@ -99,6 +116,20 @@ class TestEndpoints:
             "POST", "/jobs", {**TINY, "priority": 3}
         )
         assert status in (200, 202)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("bad", UNRUNNABLE, ids=lambda bad: next(iter(bad)))
+    def test_from_dict_rejects(self, bad):
+        with pytest.raises(ValueError):
+            SimSpec.from_dict({**TINY, **bad})
+
+    def test_boundary_values_accepted(self):
+        spec = SimSpec.from_dict(
+            {**TINY, "link_faults": 0, "router_faults": 0, "vnets": 1,
+             "vcs_per_vnet": 1, "sb_t_dd": 1, "pattern": "transpose"}
+        )
+        assert spec.sb_t_dd == 1
 
 
 class TestBackpressure:

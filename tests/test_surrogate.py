@@ -15,7 +15,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.service.spec import SimSpec, run_sim_spec, spec_identity
 from repro.service.store import CODE_SALT, ResultStore, spec_fingerprint
 from repro.sim.config import SimConfig
-from repro.surrogate import SurrogateOracle, synthetic_cell_predictor
+from repro.surrogate import SurrogateOracle
 from repro.surrogate.calibrate import (
     CalibrationTable,
     Sample,
@@ -310,78 +310,6 @@ class TestSpecModeField:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SimSpec.from_dict({**SimSpec().to_dict(), "mode": "psychic"})
-
-
-class TestFanOutFastLane:
-    def test_predictor_answers_whole_sweep(self, calibrated):
-        from repro.experiments.common import fan_out
-
-        oracle, _ = calibrated
-        spec = SimSpec(**FIG8)
-        topo = spec.build_topology()
-        config = spec.build_config()
-        argslist = [
-            (topo, "static-bubble", "uniform_random", rate, config, 150, 400, 3)
-            for rate in (0.01, 0.02, 0.04)
-        ]
-        predictor = synthetic_cell_predictor(oracle)
-
-        def must_not_run(*args):  # pragma: no cover - the assertion
-            raise AssertionError("cell escalated unexpectedly")
-
-        results = fan_out(
-            must_not_run, argslist, workers=1, cached=False,
-            mode="auto", predictor=predictor,
-        )
-        assert len(results) == 3
-        for latency, packets in results:
-            assert latency > 0 and packets > 0
-
-    def test_escalated_cells_keep_positions(self, calibrated):
-        from repro.experiments.common import fan_out
-
-        oracle, _ = calibrated
-        spec = SimSpec(**FIG8)
-        topo = spec.build_topology()
-        config = spec.build_config()
-        argslist = [
-            (topo, "static-bubble", "uniform_random", 0.02, config, 150, 400, 3),
-            (topo, "static-bubble", "tornado", 0.02, config, 150, 400, 3),
-        ]
-
-        def exact_stub(topo, scheme, pattern, rate, config, warmup, measure, seed):
-            return ("exact", pattern)
-
-        results = fan_out(
-            exact_stub, argslist, workers=1, cached=False,
-            mode="auto", predictor=synthetic_cell_predictor(oracle),
-        )
-        assert isinstance(results[0], tuple) and results[0][0] != "exact"
-        assert results[1] == ("exact", "tornado")
-
-    def test_exact_mode_bypasses_predictor(self):
-        from repro.experiments.common import fan_out
-
-        def poison(args, mode):  # pragma: no cover - the assertion
-            raise AssertionError("predictor consulted in exact mode")
-
-        results = fan_out(_double, [(2,), (3,)], workers=1, mode="exact", predictor=poison)
-        assert results == [4, 6]
-
-    def test_resolve_mode_env(self, monkeypatch):
-        from repro.experiments.common import MODE_ENV_VAR, resolve_mode
-
-        monkeypatch.delenv(MODE_ENV_VAR, raising=False)
-        assert resolve_mode() == "exact"
-        monkeypatch.setenv(MODE_ENV_VAR, "auto")
-        assert resolve_mode() == "auto"
-        assert resolve_mode("surrogate") == "surrogate"
-        monkeypatch.setenv(MODE_ENV_VAR, "bogus")
-        assert resolve_mode() == "exact"
-
-
-def _double(x):
-    return x * 2
 
 
 class TestServerFastLane:
